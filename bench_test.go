@@ -220,6 +220,26 @@ func BenchmarkAnalyticWhatIf(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/answer")
 }
 
+// BenchmarkCapacityPlan measures one /v1/plan answer (experiments.CapacityPlan:
+// four analytic evaluations, SPLIT and NO-SPLIT each with and without the
+// failure) at quick scale across the node range, so the ledger shows the
+// plan cost is flat in node count. AnalyticWhatIf cannot show that: its
+// only point, 131072 nodes, lies above the twin's per-task sample cap.
+// Recorded in BENCH_flow.json but not yet gated by benchdiff, per the
+// new-benchmark policy there.
+func BenchmarkCapacityPlan(b *testing.B) {
+	for _, nodes := range []int{64, 4096, 131072} {
+		b.Run(fmt.Sprintf("%d", nodes), func(b *testing.B) {
+			cfg := experiments.Config{Scale: experiments.ScaleQuick, Nodes: nodes}
+			for i := 0; i < b.N; i++ {
+				if _, err := experiments.CapacityPlan(cfg, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // ---- Substrate micro-benchmarks ----
 
 // BenchmarkFlowRebalance measures the water-filler under a shuffle-like

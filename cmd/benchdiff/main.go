@@ -33,7 +33,10 @@
 // A/B comparisons.
 //
 // Benchmarks present in only one file are reported but never fatal (the
-// set legitimately changes as benchmarks are added).
+// set legitimately changes as benchmarks are added), and so are rows the
+// baseline marks "record_only": a new benchmark is recorded first and
+// gated once a second baseline agrees with the first. Record-only rows
+// stay out of the drift estimate.
 package main
 
 import (
@@ -59,6 +62,8 @@ type benchEntry struct {
 	// sweep (wall-clock normalized by simulated events); zero for every
 	// other benchmark, whose JSON omits the field.
 	NsPerEvent float64 `json:"ns_per_event,omitempty"`
+	// RecordOnly marks a row reported but not gated (see the package doc).
+	RecordOnly bool `json:"record_only,omitempty"`
 }
 
 func load(path string) (map[string]benchEntry, error) {
@@ -167,6 +172,9 @@ func main() {
 			fmt.Printf("%-44s new benchmark: %.0f ns/op, %.0f allocs/op\n", b, nb.NsPerOp, nb.AllocsPerOp)
 		case !inFresh:
 			fmt.Printf("%-44s missing from fresh run (baseline %.0f ns/op)\n", b, ob.NsPerOp)
+		case ob.RecordOnly:
+			fmt.Printf("%-44s %12.0f -> %12.0f ns/op  (allocs %.0f -> %.0f)  record-only\n",
+				b, ob.NsPerOp, nb.NsPerOp, ob.AllocsPerOp, nb.AllocsPerOp)
 		default:
 			delta := 100 * (nb.NsPerOp - ob.NsPerOp) / ob.NsPerOp
 			status := "ok"
@@ -216,7 +224,7 @@ func main() {
 func medianDelta(base, fresh map[string]benchEntry, metric func(benchEntry) float64) float64 {
 	var deltas []float64
 	for name, ob := range base {
-		if nb, ok := fresh[name]; ok && metric(ob) > 0 {
+		if nb, ok := fresh[name]; ok && !ob.RecordOnly && metric(ob) > 0 {
 			deltas = append(deltas, 100*(metric(nb)-metric(ob))/metric(ob))
 		}
 	}

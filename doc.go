@@ -42,11 +42,15 @@
 // recovery) around the explicit task-lifecycle state machine in
 // lifecycle.go.
 //
-// See README.md for a tour, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for paper-versus-measured results. The benchmarks in
-// bench_test.go regenerate every table and figure of the paper's
-// evaluation (BenchmarkAllParallel measures the runner's wall-clock win
-// over serial execution); `go run ./cmd/rcmpd demo` exercises failure
-// recovery on the distributed runtime, and `make verify` runs the build,
-// test, race and benchmark-smoke gates in one command.
+// The design documents live in docs/: experiments.md (the registry and
+// the parallel runner), flow.md (the flow network), perf.md (simulator
+// performance, fast-forward and the analytic twin), dag.md (job graphs
+// and multi-tenant sessions), serving.md (the rcmpserve sweep server and
+// /v1/plan) and crossval.md (sim-versus-real cross-validation). The
+// benchmarks in bench_test.go regenerate every table and figure of the
+// paper's evaluation (BenchmarkAllParallel measures the runner's
+// wall-clock win over serial execution); `go run ./cmd/rcmpd demo`
+// exercises failure recovery on the distributed runtime, and `make
+// verify` runs the build, test, race and benchmark-smoke gates in one
+// command.
 package rcmp

@@ -188,15 +188,22 @@ func (m Model) evalSession(ccfg cluster.Config, cfg mapreduce.GraphConfig, tenan
 	}
 	ev.replay()
 
-	// The same tenant failure-free: isolates the recovery delta.
+	// The same tenant failure-free: isolates the recovery delta. Only its
+	// timings are read, never its task samples, so it records none.
 	freeCfg := cfg.ChainConfig
 	freeCfg.Failures = nil
+	freeCfg.NoTaskSamples = true
 	evFree, err := newEval(m, ccfg, freeCfg, cfg.Jobs)
 	if err != nil {
 		return se, err
 	}
 	evFree.replay()
+	return newSessionEval(ev, evFree, tenants), nil
+}
 
+// newSessionEval stacks two replayed single-tenant evaluations (with and
+// without the failure schedule) into a `tenants`-way shared session.
+func newSessionEval(ev, evFree *eval, tenants int) sessionEval {
 	// Resource-bound session floor: T tenants push T× the disk bytes and
 	// T× the slot-seconds through one cluster. The makespan is the larger
 	// of the single-tenant critical path and that floor; the recovery
@@ -217,7 +224,7 @@ func (m Model) evalSession(ccfg cluster.Config, cfg mapreduce.GraphConfig, tenan
 	}
 	recRes := math.Min(ev.recoveryResourceSeconds, extra)
 	recSpan := math.Max(extra, t*recRes)
-	return sessionEval{freeSpan: freeSpan, recSpan: recSpan, ev: ev, evFree: evFree, tenants: tenants}, nil
+	return sessionEval{freeSpan: freeSpan, recSpan: recSpan, ev: ev, evFree: evFree, tenants: tenants}
 }
 
 // SessionPlan is one capacity-planning answer: the shared-cluster session
@@ -240,13 +247,20 @@ type SessionPlan struct {
 // PlanSession answers the capacity-planning question behind the sweep
 // server's /v1/plan endpoint without materializing per-tenant results:
 // it evaluates the session once and reports makespan, recovery cost and
-// utilization. Unlike RunMultiTenant it allocates nothing per tenant, so
-// sweeping the tenant axis at 10⁵–10⁶ nodes stays microseconds per point.
+// utilization. It reads only the evaluations' timing accumulators, so
+// neither evaluation records per-task samples and the cost stays flat in
+// the node count (tens of microseconds per point, 64 to 10⁶ nodes).
 func (m Model) PlanSession(ccfg cluster.Config, cfg mapreduce.GraphConfig, tenants int) (SessionPlan, error) {
+	cfg.NoTaskSamples = true
 	se, err := m.evalSession(ccfg, cfg, tenants)
 	if err != nil {
 		return SessionPlan{}, err
 	}
+	return se.plan(ccfg), nil
+}
+
+// plan reads a SessionPlan off an evaluated session.
+func (se sessionEval) plan(ccfg cluster.Config) SessionPlan {
 	p := SessionPlan{
 		FreeMakespan: se.freeSpan,
 		Makespan:     se.freeSpan + se.recSpan,
@@ -254,9 +268,9 @@ func (m Model) PlanSession(ccfg cluster.Config, cfg mapreduce.GraphConfig, tenan
 	}
 	capacity := p.FreeMakespan * float64(ccfg.Nodes) * float64(ccfg.MapSlots+ccfg.ReduceSlots)
 	if capacity > 0 {
-		p.Utilization = math.Min(1, float64(tenants)*se.evFree.busySeconds/capacity)
+		p.Utilization = math.Min(1, float64(se.tenants)*se.evFree.busySeconds/capacity)
 	}
-	return p, nil
+	return p
 }
 
 // minf returns the smallest of its arguments.

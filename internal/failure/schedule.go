@@ -161,8 +161,9 @@ const (
 	DefaultScheduleMaxNodes = 3
 )
 
-// pulseRe matches one CLI pulse: RUN[@SECONDS][xNODES].
-var pulseRe = regexp.MustCompile(`^(\d+)(?:@(\d*\.?\d+))?(?:x(\d+))?$`)
+// pulseRe matches one CLI pulse: RUN[@SECONDS][xNODES]. SECONDS may carry
+// an exponent, the form String prints for large and tiny offsets.
+var pulseRe = regexp.MustCompile(`^(\d+)(?:@(\d*\.?\d+(?:e[+-]?\d+)?))?(?:x(\d+))?$`)
 
 // ParseSchedule parses the CLI schedule syntax:
 //
@@ -204,12 +205,16 @@ func ParseSchedule(spec string) (Schedule, error) {
 			return Schedule{}, fmt.Errorf("failure: bad schedule pulse %q; want RUN[@SECONDS][xNODES]", tok)
 		}
 		p := Pulse{After: pulseAfter, Nodes: 1}
-		p.AtRun, _ = strconv.Atoi(m[1])
-		if m[2] != "" {
-			p.After, _ = strconv.ParseFloat(m[2], 64)
+		var err error
+		p.AtRun, err = strconv.Atoi(m[1])
+		if err == nil && m[2] != "" {
+			p.After, err = strconv.ParseFloat(m[2], 64)
 		}
-		if m[3] != "" {
-			p.Nodes, _ = strconv.Atoi(m[3])
+		if err == nil && m[3] != "" {
+			p.Nodes, err = strconv.Atoi(m[3])
+		}
+		if err != nil {
+			return Schedule{}, fmt.Errorf("failure: bad schedule pulse %q: %v", tok, err)
 		}
 		s.Pulses = append(s.Pulses, p)
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -280,6 +281,41 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.statsNow())
 }
 
+// maxBodyBytes caps request bodies. A larger body is refused with 413
+// rather than parsed from a truncated prefix.
+const maxBodyBytes = 1 << 20
+
+// decodeBody reads a JSON request body into v, answering 413 for a body
+// over maxBodyBytes and 400 for malformed JSON. It reports whether v holds
+// the request.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes), http.StatusRequestEntityTooLarge)
+		return false
+	}
+	if err == nil {
+		err = json.Unmarshal(body, v)
+	}
+	if err != nil {
+		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
+		return false
+	}
+	return true
+}
+
+// requestTimeout applies a request's timeout_sec when it is below the
+// server default. The comparison runs in seconds, so a value too large
+// for a time.Duration keeps the default instead of overflowing into a
+// negative, already-expired deadline.
+func requestTimeout(def time.Duration, sec float64) time.Duration {
+	if sec > 0 && sec < def.Seconds() {
+		return time.Duration(sec * float64(time.Second))
+	}
+	return def
+}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -330,12 +366,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SweepRequest
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err == nil {
-		err = json.Unmarshal(body, &req)
-	}
-	if err != nil {
-		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	jobs, err := buildJobs(req)
@@ -353,12 +384,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	timeout := s.cfg.RequestTimeout
-	if req.TimeoutSec > 0 {
-		if d := time.Duration(req.TimeoutSec * float64(time.Second)); d < timeout {
-			timeout = d
-		}
-	}
+	timeout := requestTimeout(s.cfg.RequestTimeout, req.TimeoutSec)
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 

@@ -6,7 +6,11 @@
 # BenchmarkAllParallel at the smoke tier) and the cluster-size weak-scaling
 # sweep (BenchmarkClusterScaling/{64,256,1024,4096} at paper scale, which
 # also records ns per simulated event — the metric whose 64→1024 growth
-# docs/perf.md bounds at 1.5x). Future PRs diff this file —
+# docs/perf.md bounds at 1.5x), plus the analytic twin's answers
+# (BenchmarkAnalyticWhatIf and BenchmarkCapacityPlan/{64,4096,131072},
+# written with "record_only": true — cmd/benchdiff reports those rows
+# without gating them until a second baseline shows they are stable).
+# Future PRs diff this file —
 # scripts/benchdiff.sh / cmd/benchdiff — to see the perf trajectory of the
 # simulation core.
 #
@@ -22,12 +26,14 @@
 # anyway and gates alongside ns/op in cmd/benchdiff.
 #
 # RCMP_BENCH_ITERS overrides the fixed iteration counts (default: 3 for the
-# end-to-end pair and the scaling sweep, 50000 for the microbenchmarks).
+# end-to-end pair and the scaling sweep, 2000 for the analytic answers,
+# 50000 for the microbenchmarks).
 set -eu
 cd "$(dirname "$0")/.."
 
 OUT="${1:-BENCH_flow.json}"
 E2E_ITERS="${RCMP_BENCH_ITERS:-3}"
+ANALYTIC_ITERS="${RCMP_BENCH_ITERS:-2000}"
 MICRO_ITERS="${RCMP_BENCH_ITERS:-50000}"
 COUNT="${RCMP_BENCH_COUNT:-5}"
 tmp="$(mktemp)"
@@ -39,6 +45,8 @@ while [ "$i" -lt "$COUNT" ]; do
         -benchtime "${E2E_ITERS}x" -benchmem . >>"$tmp"
     go test -run xxx -bench 'BenchmarkClusterScaling' \
         -benchtime "${E2E_ITERS}x" -benchmem . >>"$tmp"
+    go test -run xxx -bench 'BenchmarkAnalyticWhatIf$|BenchmarkCapacityPlan' \
+        -benchtime "${ANALYTIC_ITERS}x" -benchmem . >>"$tmp"
     go test -run xxx -bench 'BenchmarkRebalance' \
         -benchtime "${MICRO_ITERS}x" -benchmem ./internal/flow >>"$tmp"
     i=$((i + 1))
@@ -73,10 +81,12 @@ END {
             name, iters[name], nsv[name], bytesv[name], allocsv[name]
         if (nsevv[name] != "")
             printf ", \"ns_per_event\": %s", nsevv[name]
+        if (name ~ /AnalyticWhatIf|CapacityPlan/)
+            printf ", \"record_only\": true"
         printf i < n ? "},\n" : "}\n"
     }
     printf "  ],\n"
-    printf "  \"note\": \"min ns/op over %d runs; AllSerial/AllParallel at smoke scale; ClusterScaling at paper scale with ns/event; Rebalance* on the 64-node synthetic topologies in internal/flow/bench_test.go\"\n", '"$COUNT"'
+    printf "  \"note\": \"min ns/op over %d runs; AllSerial/AllParallel at smoke scale; ClusterScaling at paper scale with ns/event; Rebalance* on the 64-node synthetic topologies in internal/flow/bench_test.go; AnalyticWhatIf (one weak-scaling what-if at 131072 nodes) and CapacityPlan (one quick-scale /v1/plan answer per node count) are record-only\"\n", '"$COUNT"'
     print "}"
 }' "$tmp" >"$OUT"
 

@@ -31,8 +31,10 @@
 #      flow core on (their defaults), plus the fast-forward engine's
 #      chain-level property tests forced through -race; then the
 #      analytic-vs-DES tolerance suite over the whole registry
-#   7. benchmark smoke pass: every benchmark once at the smoke tier
-#   8. perf-regression gate: re-measure the perf-trajectory benchmarks and
+#   7. fuzz: each native fuzz target of an untrusted input (/v1/plan
+#      bodies, -schedule strings) for 10 s beyond its replayed seed corpus
+#   8. benchmark smoke pass: every benchmark once at the smoke tier
+#   9. perf-regression gate: re-measure the perf-trajectory benchmarks and
 #      diff against the committed BENCH_flow.json (scripts/benchdiff.sh;
 #      >10% ns/op or allocs/op regressions fail)
 set -eu
@@ -132,6 +134,10 @@ go test -count=1 -run 'TestGoldenDigests|TestGoldenResultsEquivalentUnderLazyBan
 
 echo "== analytic-vs-DES tolerance suite (registry-wide, 2 seeds per spec) =="
 go test -count=1 -run 'TestAnalyticEngineToleranceRegistryWide' ./internal/experiments
+
+echo "== fuzz (/v1/plan bodies, -schedule strings; 10 s each) =="
+go test -run '^$' -fuzz '^FuzzPlanRequest$' -fuzztime 10s -parallel 2 ./internal/server
+go test -run '^$' -fuzz '^FuzzParseSchedule$' -fuzztime 10s -parallel 2 ./internal/failure
 
 echo "== bench-smoke =="
 RCMP_BENCH_SCALE=smoke go test -run xxx -bench . -benchtime 1x ./...
